@@ -8,7 +8,7 @@
 //! escape subnetwork". This module implements that advice as a family of
 //! selectable policies, used by the root-placement ablation benchmark.
 
-use crate::bfs::{bfs_distances, DistanceMatrix, UNREACHABLE};
+use crate::bfs::{DistanceMatrix, UNREACHABLE};
 use crate::graph::{Network, SwitchId};
 use serde::{Deserialize, Serialize};
 
@@ -75,36 +75,33 @@ impl RootPolicy {
             RootPolicy::MaxAliveDegree => (0..n)
                 .max_by_key(|&s| (net.degree(s), std::cmp::Reverse(s)))
                 .expect("non-empty network"),
-            RootPolicy::MinEccentricity => select_by_distance_score(net, |dist| {
-                dist.iter()
-                    .map(|&d| if d == UNREACHABLE { u64::MAX } else { d as u64 })
-                    .max()
-                    .unwrap_or(0)
-            }),
-            RootPolicy::MinTotalDistance => select_by_distance_score(net, |dist| {
-                dist.iter().fold(0u64, |acc, &d| {
-                    if d == UNREACHABLE {
-                        u64::MAX
-                    } else {
-                        acc.saturating_add(d as u64)
-                    }
-                })
-            }),
+            RootPolicy::MinEccentricity | RootPolicy::MinTotalDistance => {
+                self.select_with_distances(net, &DistanceMatrix::compute(net))
+            }
         }
     }
 
-    /// Selects the root using a precomputed all-pairs distance matrix (avoids
-    /// recomputing BFS when the caller already has one).
+    /// Selects the root using a precomputed all-pairs distance matrix of
+    /// `net` (avoids recomputing it when the caller already has one).
+    ///
+    /// The distance policies score a switch `u64::MAX` when some switch is
+    /// unreachable from it and break ties by the lowest id, so a
+    /// disconnected network, where every switch has an unreachable peer,
+    /// always yields switch 0.
     pub fn select_with_distances(&self, net: &Network, dm: &DistanceMatrix) -> SwitchId {
+        let score = |s: SwitchId| -> u64 {
+            let row = dm.row(s);
+            if row.contains(&UNREACHABLE) {
+                return u64::MAX;
+            }
+            match self {
+                RootPolicy::MinEccentricity => dm.eccentricity(s) as u64,
+                _ => row.iter().map(|&d| d as u64).sum(),
+            }
+        };
         match self {
-            RootPolicy::MinEccentricity => (0..net.num_switches())
-                .min_by_key(|&s| (dm.eccentricity(s), s))
-                .expect("non-empty network"),
-            RootPolicy::MinTotalDistance => (0..net.num_switches())
-                .min_by_key(|&s| {
-                    let total: u64 = dm.row(s).iter().map(|&d| d as u64).sum();
-                    (total, s)
-                })
+            RootPolicy::MinEccentricity | RootPolicy::MinTotalDistance => (0..net.num_switches())
+                .min_by_key(|&s| (score(s), s))
                 .expect("non-empty network"),
             _ => self.select(net),
         }
@@ -119,25 +116,6 @@ impl RootPolicy {
             RootPolicy::MinTotalDistance,
         ]
     }
-}
-
-/// Picks the switch minimising `score(bfs distances from that switch)`, ties
-/// broken by the lowest switch id.
-fn select_by_distance_score<F>(net: &Network, score: F) -> SwitchId
-where
-    F: Fn(&[u16]) -> u64,
-{
-    let mut best = 0usize;
-    let mut best_score = u64::MAX;
-    for s in 0..net.num_switches() {
-        let dist = bfs_distances(net, s);
-        let sc = score(&dist);
-        if sc < best_score {
-            best_score = sc;
-            best = s;
-        }
-    }
-    best
 }
 
 #[cfg(test)]
@@ -221,6 +199,22 @@ mod tests {
                 "policy {}",
                 policy.name()
             );
+        }
+    }
+
+    #[test]
+    fn distance_policies_pick_switch_zero_when_disconnected() {
+        // Switch 3 is cut off from the path 0-1-2, so every switch has an
+        // unreachable peer and the distance policies tie at the worst score,
+        // although switch 1 is the median of its component.
+        let mut net = crate::complete::complete_graph(4);
+        for (a, b) in [(0, 2), (0, 3), (1, 3), (2, 3)] {
+            net.remove_link(a, b);
+        }
+        let dm = DistanceMatrix::compute(&net);
+        for policy in [RootPolicy::MinEccentricity, RootPolicy::MinTotalDistance] {
+            assert_eq!(policy.select(&net), 0, "policy {}", policy.name());
+            assert_eq!(policy.select_with_distances(&net, &dm), 0);
         }
     }
 

@@ -15,7 +15,7 @@
 //! the paper ("each entry with a value greater than 0 representing a valid
 //! candidate").
 
-use crate::bfs::{bfs_distances, UNREACHABLE};
+use crate::bfs::{bfs_distances, Csr, UNREACHABLE};
 use crate::graph::{Network, PortId, SwitchId};
 use serde::{Deserialize, Serialize};
 
@@ -46,8 +46,10 @@ pub struct EscapeCandidate {
 /// The escape subnetwork: levels, link classes and all-pairs Up/Down distances.
 ///
 /// Rebuild the structure (with [`UpDownEscape::new`]) whenever the set of
-/// alive links changes; the construction is a handful of BFS traversals, the
-/// same cost the paper attributes to recomputing Minimal routing tables.
+/// alive links changes. The construction is one BFS from the root for the
+/// levels plus a level-order dynamic program per source for the all-pairs
+/// Up/Down distances, `O(n · (n + E_up))` in total with `O(n)` scratch; see
+/// `compute_updown_distances`.
 #[derive(Clone, Debug)]
 pub struct UpDownEscape {
     root: SwitchId,
@@ -97,73 +99,50 @@ impl UpDownEscape {
         }
     }
 
-    /// Up/Down distances via up-reachability sets.
+    /// Up/Down distances by a dynamic program over BFS levels.
     ///
     /// `UpReach(x)` is the set of switches reachable from `x` using only Up
-    /// hops. The Up/Down distance is then
+    /// hops (`x` included). The Up/Down distance is then
     /// `ud(x, y) = level(x) + level(y) − 2·max{ level(z) : z ∈ UpReach(x) ∩ UpReach(y) }`.
     /// The root belongs to every `UpReach` set, so the distance is always defined.
+    ///
+    /// Per source `x`, a walk in descending level order marks `UpReach(x)`.
+    /// A walk in ascending level order then fills `meet[y]`, the max above,
+    /// from `y`'s parents, because `UpReach(y)` is `y` plus its parents'
+    /// sets: `meet[y] = level(y)` if `y ∈ UpReach(x)`, else the largest
+    /// `meet[p]` over its parents `p`. That costs `O(n + E_up)` per source,
+    /// where `E_up` counts Up links, and `O(n · (n + E_up))` overall.
     fn compute_updown_distances(net: &Network, levels: &[u16]) -> Vec<u16> {
         let n = net.num_switches();
-        let words = n.div_ceil(64);
-        // up_reach[x] is a bitset over switches.
-        let mut up_reach = vec![vec![0u64; words]; n];
-        // Process switches in order of increasing level so parents are ready.
+        let parents = Csr::alive(net, |s, t| levels[t] + 1 == levels[s]);
         let mut order: Vec<SwitchId> = (0..n).collect();
         order.sort_by_key(|&s| levels[s]);
-        for &s in &order {
-            let (word, bit) = (s / 64, s % 64);
-            up_reach[s][word] |= 1 << bit;
-            // Union of the parents' reach sets.
-            let parents: Vec<SwitchId> = net
-                .neighbors(s)
-                .filter(|(_, nb)| levels[nb.switch] + 1 == levels[s])
-                .map(|(_, nb)| nb.switch)
-                .collect();
-            for p in parents {
-                // Split borrows: copy the parent's set into the child's.
-                let (a, b) = if p < s {
-                    let (left, right) = up_reach.split_at_mut(s);
-                    (&left[p], &mut right[0])
-                } else {
-                    let (left, right) = up_reach.split_at_mut(p);
-                    (&right[0], &mut left[s])
-                };
-                for (dst, src) in b.iter_mut().zip(a.iter()) {
-                    *dst |= *src;
+        let mut in_reach = vec![false; n];
+        let mut meet = vec![0u16; n];
+        let mut out = vec![0u16; n * n];
+        for x in 0..n {
+            in_reach.fill(false);
+            in_reach[x] = true;
+            for &z in order.iter().rev() {
+                if in_reach[z] {
+                    for &p in parents.row(z) {
+                        in_reach[p as usize] = true;
+                    }
                 }
             }
-        }
-
-        // For the max-level lookup, precompute each switch's level.
-        let mut out = vec![0u16; n * n];
-        let mut inter = vec![0u64; words];
-        for x in 0..n {
-            for y in x..n {
-                let best = {
-                    for w in 0..words {
-                        inter[w] = up_reach[x][w] & up_reach[y][w];
-                    }
-                    let mut best_level = 0u16;
-                    let mut found = false;
-                    for (w, &word) in inter.iter().enumerate() {
-                        let mut word = word;
-                        while word != 0 {
-                            let bit = word.trailing_zeros() as usize;
-                            let z = w * 64 + bit;
-                            if !found || levels[z] > best_level {
-                                best_level = levels[z];
-                                found = true;
-                            }
-                            word &= word - 1;
-                        }
-                    }
-                    debug_assert!(found, "the root belongs to every up-reach set");
-                    best_level
+            let row = &mut out[x * n..(x + 1) * n];
+            for &y in &order {
+                meet[y] = if in_reach[y] {
+                    levels[y]
+                } else {
+                    parents
+                        .row(y)
+                        .iter()
+                        .map(|&p| meet[p as usize])
+                        .max()
+                        .expect("every switch but the root has a parent")
                 };
-                let d = levels[x] + levels[y] - 2 * best;
-                out[x * n + y] = d;
-                out[y * n + x] = d;
+                row[y] = levels[x] + levels[y] - 2 * meet[y];
             }
         }
         out

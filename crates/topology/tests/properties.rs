@@ -3,7 +3,7 @@
 use hyperx_topology::{
     bfs_distances, diameter_under_fault_sequence, edge_disjoint_paths, shortest_path_count,
     survivability_under_faults, DistanceHistogram, DistanceMatrix, FaultSet, FaultShape, HyperX,
-    RootPolicy, UpDownEscape,
+    Network, RootPolicy, SwitchId, UpDownEscape,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -14,6 +14,146 @@ fn sides_strategy() -> impl Strategy<Value = Vec<usize>> {
     prop::collection::vec(2usize..=6, 1..=3).prop_filter("keep networks small", |sides| {
         sides.iter().product::<usize>() <= 128
     })
+}
+
+/// Strategy: HyperX sides with 1 to 3 dimensions of side 2..=9, so the switch
+/// count falls below, on and above multiples of 64 (e.g. 63, 64, 81, 125,
+/// 343), the batch width of [`DistanceMatrix::compute`].
+fn batch_sides_strategy() -> impl Strategy<Value = Vec<usize>> {
+    prop::collection::vec(2usize..=9, 1..=3).prop_filter("keep the oracles cheap", |sides| {
+        sides.iter().product::<usize>() <= 400
+    })
+}
+
+/// The all-pairs matrix as `n` independent single-source BFS rows: the
+/// oracle of the bit-parallel [`DistanceMatrix::compute`].
+fn reference_distances(net: &Network) -> Vec<Vec<u16>> {
+    (0..net.num_switches())
+        .map(|s| bfs_distances(net, s))
+        .collect()
+}
+
+/// Up/Down distances straight from the up-reach-set definition: the oracle
+/// of the level-order dynamic program in [`UpDownEscape`].
+///
+/// `UpReach(x)` is the bitset of switches reachable from `x` using only Up
+/// hops, and `ud(x, y) = level(x) + level(y) − 2·max{ level(z) : z ∈
+/// UpReach(x) ∩ UpReach(y) }`.
+fn reference_updown(net: &Network, levels: &[u16]) -> Vec<u16> {
+    let n = net.num_switches();
+    let words = n.div_ceil(64);
+    let mut up_reach = vec![vec![0u64; words]; n];
+    // Increasing level order, so every parent's set is complete first.
+    let mut order: Vec<SwitchId> = (0..n).collect();
+    order.sort_by_key(|&s| levels[s]);
+    for &s in &order {
+        up_reach[s][s / 64] |= 1 << (s % 64);
+        let parents: Vec<SwitchId> = net
+            .neighbors(s)
+            .filter(|(_, nb)| levels[nb.switch] + 1 == levels[s])
+            .map(|(_, nb)| nb.switch)
+            .collect();
+        for p in parents {
+            let parent = up_reach[p].clone();
+            for (dst, src) in up_reach[s].iter_mut().zip(parent) {
+                *dst |= src;
+            }
+        }
+    }
+    let mut out = vec![0u16; n * n];
+    for x in 0..n {
+        for y in x..n {
+            let mut best: Option<u16> = None;
+            for (w, (a, b)) in up_reach[x].iter().zip(&up_reach[y]).enumerate() {
+                let mut word = a & b;
+                while word != 0 {
+                    let z = w * 64 + word.trailing_zeros() as usize;
+                    best = best.max(Some(levels[z]));
+                    word &= word - 1;
+                }
+            }
+            let best = best.expect("the root belongs to every up-reach set");
+            let d = levels[x] + levels[y] - 2 * best;
+            out[x * n + y] = d;
+            out[y * n + x] = d;
+        }
+    }
+    out
+}
+
+/// Asserts that `DistanceMatrix::compute` equals the per-source BFS oracle
+/// row by row, and that its recorded connectivity and diameter equal a
+/// rescan of the oracle.
+fn check_distance_matrix(net: &Network) -> Result<(), TestCaseError> {
+    let dm = DistanceMatrix::compute(net);
+    let rows = reference_distances(net);
+    for (s, row) in rows.iter().enumerate() {
+        prop_assert_eq!(dm.row(s), &row[..], "row {} differs", s);
+    }
+    let connected = !rows.iter().flatten().any(|&d| d == u16::MAX);
+    let largest = rows.iter().flatten().copied().max().unwrap_or(0) as usize;
+    prop_assert_eq!(dm.is_connected(), connected);
+    prop_assert_eq!(dm.is_connected(), net.is_connected());
+    prop_assert_eq!(dm.diameter_checked(), connected.then_some(largest));
+    prop_assert_eq!(dm.diameter(), if connected { largest } else { usize::MAX });
+    Ok(())
+}
+
+/// Asserts that every Up/Down distance of the escape rooted at `root`
+/// equals the up-reach-set oracle.
+fn check_updown(net: &Network, root: SwitchId) -> Result<(), TestCaseError> {
+    let esc = UpDownEscape::new(net, root);
+    let n = net.num_switches();
+    let levels: Vec<u16> = (0..n).map(|s| esc.level(s)).collect();
+    let reference = reference_updown(net, &levels);
+    for a in 0..n {
+        for b in 0..n {
+            prop_assert_eq!(
+                esc.updown_distance(a, b),
+                reference[a * n + b],
+                "ud({}, {}) differs",
+                a,
+                b
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Random links of `hx` failed until a `fault_frac` share of them is gone.
+fn with_random_faults(hx: &HyperX, fault_frac: f64, seed: u64, connected: bool) -> Network {
+    let mut net = hx.network().clone();
+    let count = (fault_frac * net.num_links() as f64) as usize;
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let faults = if connected {
+        FaultSet::random_connected_sequence(&net, count, &mut rng)
+    } else {
+        FaultSet::random_sequence(&net, count, &mut rng)
+    };
+    faults.apply(&mut net);
+    net
+}
+
+#[test]
+fn bit_parallel_kernels_match_oracles_on_8x8x8() {
+    let hx = HyperX::regular(3, 8);
+    let star = FaultShape::Cross {
+        center: vec![4, 4, 4],
+        margin: 1,
+    };
+    let mut starred = hx.network().clone();
+    FaultSet::from_shape(&star, &hx).apply(&mut starred);
+    let mut random = hx.network().clone();
+    let mut rng = ChaCha8Rng::seed_from_u64(1);
+    FaultSet::random_sequence(&random, 100, &mut rng).apply(&mut random);
+    for (name, net, root) in [
+        ("star", &starred, hx.switch_id(&[4, 4, 4])),
+        ("random:100", &random, 0),
+    ] {
+        assert!(net.is_connected(), "{name} disconnects 8x8x8");
+        check_distance_matrix(net).unwrap_or_else(|e| panic!("{name}: {e:?}"));
+        check_updown(net, root).unwrap_or_else(|e| panic!("{name}: {e:?}"));
+    }
 }
 
 proptest! {
@@ -31,15 +171,14 @@ proptest! {
     }
 
     #[test]
-    fn single_source_bfs_matches_matrix(sides in sides_strategy(), seed in 0u64..1000) {
-        let hx = HyperX::new(&sides);
-        let src = (seed as usize) % hx.num_switches();
-        let d = DistanceMatrix::compute(hx.network());
-        let row = bfs_distances(hx.network(), src);
-        #[allow(clippy::needless_range_loop)] // b indexes row and matrix together
-        for b in 0..hx.num_switches() {
-            prop_assert_eq!(row[b], d.get(src, b));
-        }
+    fn single_source_bfs_matches_matrix(
+        sides in batch_sides_strategy(),
+        fault_frac in 0.0f64..1.0,
+        seed in 0u64..1000,
+    ) {
+        // Fault shares up to every link: most cases past a third disconnect.
+        let net = with_random_faults(&HyperX::new(&sides), fault_frac, seed, false);
+        check_distance_matrix(&net)?;
     }
 
     #[test]
@@ -74,6 +213,18 @@ proptest! {
                 None => break,
             }
         }
+    }
+
+    #[test]
+    fn updown_distances_equal_up_reach_reference(
+        sides in batch_sides_strategy(),
+        fault_frac in 0.0f64..1.0,
+        seed in 0u64..1000,
+    ) {
+        // Faults up to the edge of disconnection: large shares leave a
+        // spanning tree, where the levels run deepest.
+        let net = with_random_faults(&HyperX::new(&sides), fault_frac, seed, true);
+        check_updown(&net, (seed as usize) % net.num_switches())?;
     }
 
     #[test]
@@ -256,18 +407,28 @@ proptest! {
     #[test]
     fn root_policies_always_return_valid_switches(
         sides in sides_strategy(),
-        fault_count in 0usize..20,
+        fault_frac in 0.0f64..1.0,
         seed in 0u64..1000,
     ) {
         let hx = HyperX::new(&sides);
-        let mut net = hx.network().clone();
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        FaultSet::random_connected_sequence(&net, fault_count, &mut rng).apply(&mut net);
+        // Even seeds keep the network connected; odd seeds fail 70% or more
+        // of the links, which mostly disconnects it.
+        let net = if seed % 2 == 0 {
+            with_random_faults(&hx, fault_frac, seed, true)
+        } else {
+            with_random_faults(&hx, 0.7 + 0.3 * fault_frac, seed, false)
+        };
         let dm = DistanceMatrix::compute(&net);
         for policy in RootPolicy::ablation_lineup() {
             let root = policy.select(&net);
             prop_assert!(root < hx.num_switches());
             prop_assert_eq!(policy.select_with_distances(&net, &dm), root);
+            if !dm.is_connected()
+                && matches!(policy, RootPolicy::MinEccentricity | RootPolicy::MinTotalDistance)
+            {
+                // Every switch has an unreachable peer: all tie, the lowest id wins.
+                prop_assert_eq!(root, 0);
+            }
         }
         // The degree-based policy must pick a switch of maximum alive degree.
         let best = RootPolicy::MaxAliveDegree.select(&net);
