@@ -61,12 +61,6 @@ pub struct ServeOptions {
     /// of fleet state over plain HTTP and is closed — no request parsing, no
     /// auth, no mutation path.
     pub metrics_addr: Option<String>,
-    /// Hold job hand-out (answer every `Fetch` with `Wait`) until this many
-    /// distinct workers have said `Hello`; 0 hands out at once. A caller
-    /// that starts a known fleet sets it to the fleet size, so the grid
-    /// cannot drain, and the listener close, before a slow-starting worker
-    /// has connected.
-    pub min_workers: usize,
 }
 
 impl Default for ServeOptions {
@@ -78,7 +72,6 @@ impl Default for ServeOptions {
             quiet: false,
             stop_after_deliveries: None,
             metrics_addr: None,
-            min_workers: 0,
         }
     }
 }
@@ -146,8 +139,6 @@ struct Shared {
     stop_budget: Option<usize>,
     /// `stop_after_deliveries` tripped: stop serving, finalize partial.
     stopped: bool,
-    /// Mirror of `ServeOptions::min_workers`.
-    min_workers: usize,
     quiet: bool,
 }
 
@@ -520,15 +511,9 @@ fn handle_connection(
                 // Both sides bound the batch: the worker's appetite and the
                 // coordinator's `--chunk` cap (small chunks keep expensive
                 // tails spread across workers).
-                // Until the expected fleet has joined, nothing is handed
-                // out and the worker is told to wait.
-                let taken = if shared.worker_ids.len() < shared.min_workers {
-                    Vec::new()
-                } else {
-                    shared
-                        .queues
-                        .pop_for(&conn, shard, max.clamp(1, chunk), now)
-                };
+                let taken = shared
+                    .queues
+                    .pop_for(&conn, shard, max.clamp(1, chunk), now);
                 // A re-queued copy of a job that was meanwhile delivered by
                 // its original (slow) worker must not run again: release the
                 // fresh lease and drop it here.
@@ -725,7 +710,6 @@ pub fn serve(
         reconnects: 0,
         stop_budget: opts.stop_after_deliveries,
         stopped: false,
-        min_workers: opts.min_workers,
         quiet: opts.quiet,
     }));
     if !opts.quiet && skipped > 0 {

@@ -99,13 +99,6 @@ fn serve_with_workers(
             })
         })
         .collect();
-    // Every worker must join before any job is handed out: fake jobs drain
-    // in milliseconds, and a worker thread the scheduler starts later than
-    // that would find the listener closed.
-    let opts = ServeOptions {
-        min_workers: workers,
-        ..opts
-    };
     let outcome = serve(listener, &s.name, &jobs, store, &opts).unwrap();
     for h in worker_handles {
         h.join().unwrap().unwrap();
@@ -697,64 +690,6 @@ fn garbage_frames_get_a_protocol_error_naming_the_line() {
         std::fs::read(&path).unwrap(),
         local_store_bytes(&s, "dist-garbage-local"),
         "a babbling client must not perturb the final bytes"
-    );
-    clean(&path);
-}
-
-/// `min_workers` holds hand-out: a lone worker is told to wait until the
-/// expected fleet has said Hello, and the grid then drains as usual.
-#[test]
-fn min_workers_holds_hand_out_until_the_fleet_has_joined() {
-    let s = spec("dist-min-workers");
-    let path = temp_store("dist-min-workers");
-    clean(&path);
-    let jobs = s.expand().unwrap();
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    let server = {
-        let (name, jobs, path) = (s.name.clone(), jobs.clone(), path.clone());
-        let opts = ServeOptions {
-            min_workers: 2,
-            ..quiet_opts()
-        };
-        std::thread::spawn(move || serve(listener, &name, &jobs, &path, &opts))
-    };
-
-    let stream = TcpStream::connect(&addr).unwrap();
-    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
-    let mut writer = stream;
-    write_message(
-        &mut writer,
-        &Request::Hello {
-            worker: "early".into(),
-            session: None,
-        },
-    )
-    .unwrap();
-    let _: Reply = read_message(&mut reader).unwrap().unwrap();
-    write_message(&mut writer, &Request::Fetch { max: 4 }).unwrap();
-    match read_message::<Reply>(&mut reader).unwrap().unwrap() {
-        Reply::Wait { .. } => {}
-        other => panic!("one of two workers joined, expected Wait, got {other:?}"),
-    }
-
-    let late = {
-        let addr = addr.clone();
-        std::thread::spawn(move || {
-            run_worker(&addr, "late", &WorkerOptions::default(), fake_result)
-        })
-    };
-    let early_ran = drain_via_client(&mut reader, &mut writer, 4);
-    drop(writer);
-    let outcome = server.join().unwrap().unwrap();
-    let late_ran = late.join().unwrap().unwrap().executed;
-    assert!(outcome.is_complete());
-    assert_eq!(outcome.workers, 2);
-    assert_eq!(early_ran.len() + late_ran, 24);
-    assert_eq!(
-        std::fs::read(&path).unwrap(),
-        local_store_bytes(&s, "dist-min-workers-local"),
-        "a held hand-out must not perturb the final bytes"
     );
     clean(&path);
 }

@@ -8,7 +8,7 @@
 //! escape subnetwork". This module implements that advice as a family of
 //! selectable policies, used by the root-placement ablation benchmark.
 
-use crate::bfs::{DistanceMatrix, UNREACHABLE};
+use crate::bfs::DistanceMatrix;
 use crate::graph::{Network, SwitchId};
 use serde::{Deserialize, Serialize};
 
@@ -84,25 +84,25 @@ impl RootPolicy {
     /// Selects the root using a precomputed all-pairs distance matrix of
     /// `net` (avoids recomputing it when the caller already has one).
     ///
-    /// The distance policies score a switch `u64::MAX` when some switch is
-    /// unreachable from it and break ties by the lowest id, so a
-    /// disconnected network, where every switch has an unreachable peer,
-    /// always yields switch 0.
+    /// The distance policies break ties by the lowest id. In a disconnected
+    /// network every switch has an unreachable peer, so every score is
+    /// unbounded and switch 0 is returned.
     pub fn select_with_distances(&self, net: &Network, dm: &DistanceMatrix) -> SwitchId {
         let score = |s: SwitchId| -> u64 {
-            let row = dm.row(s);
-            if row.contains(&UNREACHABLE) {
-                return u64::MAX;
-            }
             match self {
                 RootPolicy::MinEccentricity => dm.eccentricity(s) as u64,
-                _ => row.iter().map(|&d| d as u64).sum(),
+                _ => dm.row(s).iter().map(|&d| d as u64).sum(),
             }
         };
         match self {
-            RootPolicy::MinEccentricity | RootPolicy::MinTotalDistance => (0..net.num_switches())
-                .min_by_key(|&s| (score(s), s))
-                .expect("non-empty network"),
+            RootPolicy::MinEccentricity | RootPolicy::MinTotalDistance => {
+                if !dm.is_connected() {
+                    return 0;
+                }
+                (0..net.num_switches())
+                    .min_by_key(|&s| (score(s), s))
+                    .expect("non-empty network")
+            }
             _ => self.select(net),
         }
     }
