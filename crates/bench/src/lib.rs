@@ -2,9 +2,8 @@
 //!
 //! The benchmark harness of the SurePath reproduction. Each binary in
 //! `src/bin/` regenerates the data behind one table or figure of the paper
-//! (see DESIGN.md for the experiment index); the Criterion benches in
-//! `benches/` measure the hot paths of the topology, routing and simulation
-//! layers.
+//! (see DESIGN.md for the experiment index); [`perf`] is the engine perf
+//! harness behind `surepath bench`.
 //!
 //! Every figure binary accepts:
 //!

@@ -27,8 +27,8 @@
 //! surepath campaign grid.toml --spawn-local 4           # single-machine fan-out
 //! ```
 //!
-//! Engine perf harness (active-set scheduler vs the frozen full-scan
-//! baseline; writes `BENCH_ENGINE.json`):
+//! Engine perf harness (the SoA engine vs the frozen v4 engine, both on
+//! the active-set scheduler; writes `BENCH_ENGINE.json`):
 //!
 //! ```text
 //! surepath bench --quick

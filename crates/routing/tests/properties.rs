@@ -4,7 +4,9 @@ use hyperx_routing::dal::DalRouting;
 use hyperx_routing::minimal::MinimalRouting;
 use hyperx_routing::omnidimensional::OmnidimensionalRouting;
 use hyperx_routing::polarized::PolarizedRouting;
-use hyperx_routing::{Candidate, CandidateKind, MechanismSpec, NetworkView, RouteAlgorithm};
+use hyperx_routing::{
+    Candidate, CandidateKind, MechanismSpec, NetworkView, RouteAlgorithm, RouteScratch,
+};
 use hyperx_topology::{FaultSet, HyperX};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -245,6 +247,60 @@ proptest! {
             full_cands.iter().filter(|c| c.kind != CandidateKind::EscapeShortcut).count(),
             tree_cands.len()
         );
+    }
+
+    #[test]
+    fn candidates_are_independent_of_reused_scratch(
+        sides in sides_strategy(),
+        faults in 0usize..15,
+        seed in 0u64..500,
+    ) {
+        // The simulator caches candidate lists per head packet and computes
+        // them through one long-lived `RouteScratch` per partition, which is
+        // sound only if `candidates_into` is a pure function of
+        // `(state, current)`: a scratch left dirty by earlier queries (of any
+        // mechanism) must never leak into the result.
+        let view = faulty_view(&sides, faults, seed);
+        let n = view.hyperx().num_switches();
+        let dims = view.hyperx().dims();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5C7A);
+        let mut scratch = RouteScratch::default();
+        let specs = [
+            MechanismSpec::Minimal,
+            MechanismSpec::Valiant,
+            MechanismSpec::OmniWAR,
+            MechanismSpec::Polarized,
+            MechanismSpec::OmniSP,
+            MechanismSpec::PolSP,
+            MechanismSpec::Dor,
+            MechanismSpec::Dal,
+            MechanismSpec::OmniSPTree,
+            MechanismSpec::PolSPTree,
+        ];
+        for spec in specs {
+            let mech = spec.build(view.clone(), spec.faulty_num_vcs(dims));
+            for k in 0..4usize {
+                let src = (seed as usize + k * 13) % n;
+                let dst = (seed as usize * 7 + k * 29 + 1) % n;
+                if src == dst { continue; }
+                let mut state = mech.init_packet(src, dst, &mut rng);
+                let mut current = src;
+                for hop in 0..2 * n {
+                    let mut fresh = Vec::new();
+                    mech.candidates_into(&state, current, &mut RouteScratch::default(), &mut fresh);
+                    for call in 0..2 {
+                        let mut reused = Vec::new();
+                        mech.candidates_into(&state, current, &mut scratch, &mut reused);
+                        prop_assert_eq!(&reused, &fresh, "{} call {} at {} -> {}", spec, call, current, dst);
+                    }
+                    if current == dst || fresh.is_empty() { break; }
+                    let pick = &fresh[(seed as usize + hop) % fresh.len()];
+                    let next = view.network().neighbor(current, pick.port).unwrap().switch;
+                    mech.note_hop(&mut state, current, next, pick);
+                    current = next;
+                }
+            }
+        }
     }
 
     #[test]

@@ -31,18 +31,21 @@
 //!
 //! # Parallelism
 //!
-//! With `SimConfig::partitions = P > 1` the engine splits switches into `P`
-//! contiguous ranges and steps the two data-parallel phase parts on a
-//! persistent [`WorkerPool`] with a cycle barrier:
+//! The engine splits switches into `P = SimConfig::partitions` contiguous
+//! ranges and steps the two data-parallel phase parts on a persistent
+//! [`WorkerPool`] of `P - 1` threads plus the caller, with a cycle barrier:
 //!
-//! * **allocation** prefills the per-VC candidate caches in parallel
-//!   (candidate lists are pure functions of `(packet state, switch)`, and
-//!   heads cannot change during allocation), then runs the score + grant
-//!   sweep sequentially — RNG tie-break draws stay in the exact v4 order;
-//! * **transmission** runs fully parallel with per-partition event buffers;
-//!   every transmitted packet arrives at the same future cycle, so appending
-//!   the buffers in ascending partition order reproduces the sequential
-//!   event-wheel order exactly.
+//! * **allocation** (`P > 1` only) prefills the per-VC candidate caches in
+//!   parallel (candidate lists are pure functions of `(packet state,
+//!   switch)`, and heads cannot change during allocation), then runs the
+//!   score + grant sweep sequentially — RNG tie-break draws stay in the
+//!   exact v4 order. At `P = 1` the sweep fills the caches lazily instead;
+//!   the prefill's hit/miss stamps mirror that path;
+//! * **transmission** has one body for every `P`: each partition buffers
+//!   its events privately, and since every transmitted packet arrives at
+//!   the same future cycle, appending the buffers in ascending partition
+//!   order reproduces the ascending-switch event-wheel order exactly. At
+//!   `P = 1` the pool runs the single task on the caller.
 //!
 //! Everything else (event processing, generation/injection, grants) is
 //! sequential, so RNG draw order, metrics bytes, counters and store bytes
@@ -230,7 +233,7 @@ struct StepArena {
     seg: Vec<usize>,
 }
 
-/// Read-only state shared by all partitions of a parallel transmit.
+/// Read-only state shared by all partitions of a transmit.
 struct XmitShared<'a> {
     stg_pkt: &'a [u32],
     stg_vc: &'a [u16],
@@ -243,7 +246,7 @@ struct XmitShared<'a> {
     num_vcs: usize,
 }
 
-/// One partition's mutable view of a parallel transmit: disjoint slices of
+/// One partition's mutable view of a transmit: disjoint slices of
 /// the per-port/per-switch arrays plus a private event buffer.
 struct XmitTask<'a> {
     sw_base: usize,
@@ -397,8 +400,9 @@ pub struct Simulator {
     /// Partition boundaries: partition `p` owns switches
     /// `part_bounds[p] .. part_bounds[p + 1]`.
     part_bounds: Vec<usize>,
-    /// Persistent workers (`partitions - 1`; the caller participates).
-    pool: Option<WorkerPool>,
+    /// Persistent workers (`partitions - 1`; the caller participates, so
+    /// `P = 1` runs every phase on the caller with no threads at all).
+    pool: WorkerPool,
     /// Reusable per-partition transmit event buffers.
     part_events: Vec<Vec<Ev>>,
     /// Reusable per-partition routing scratch for the candidate prefill.
@@ -527,7 +531,7 @@ impl Simulator {
             step: StepArena::default(),
             obs: CounterRegistry::new(),
             tracer: None,
-            pool: (partitions > 1).then(|| WorkerPool::new(partitions - 1)),
+            pool: WorkerPool::new(partitions - 1),
             partitions,
             part_bounds,
             part_events: (0..partitions).map(|_| Vec::new()).collect(),
@@ -712,12 +716,13 @@ impl Simulator {
     ///
     /// The scheduler is **active-set based** (allocation only visits switches
     /// with buffered input packets, transmission only visits switches with
-    /// staged packets, generation only visits live servers) and, with
-    /// `partitions > 1`, steps the candidate prefill and the transmit stage
-    /// in parallel across switch partitions. The observable behaviour (RNG
-    /// draw order, metrics, counters, traces, event timing) is identical to
-    /// the sequential v4 engine for every partition count; see the
-    /// `layout_equivalence` and `partition_invariance` tests.
+    /// staged packets, generation only visits live servers). One partitioned
+    /// transmit body serves every partition count; with `partitions > 1`
+    /// the candidate prefill also runs in parallel across switch
+    /// partitions. The observable behaviour (RNG draw order, metrics,
+    /// counters, traces, event timing) is identical to the sequential v4
+    /// engine for every partition count; see the `layout_equivalence` and
+    /// `partition_invariance` tests.
     pub fn step(&mut self) {
         self.progress_this_cycle = false;
         self.process_events();
@@ -803,8 +808,11 @@ impl Simulator {
 
     fn process_events(&mut self) {
         let wheel_slot = self.wheel_slot(self.cycle);
-        let events = std::mem::take(&mut self.wheel[wheel_slot]);
-        for event in events {
+        // Borrowed out and handed back cleared, so every wheel slot keeps its
+        // capacity: no per-cycle allocation, and no heap churn of odd-sized
+        // event buffers.
+        let mut events = std::mem::take(&mut self.wheel[wheel_slot]);
+        for &event in &events {
             match event {
                 Ev::Arrival { slot, packet } => {
                     let slot = slot as usize;
@@ -862,6 +870,8 @@ impl Simulator {
                 }
             }
         }
+        events.clear();
+        self.wheel[wheel_slot] = events;
     }
 
     fn generate_and_inject(&mut self) {
@@ -1452,10 +1462,7 @@ impl Simulator {
                 let mut task = tasks[t].lock().unwrap();
                 run_prefill_task(&mut task, &shared);
             };
-            self.pool
-                .as_ref()
-                .expect("partitions > 1 without a pool")
-                .run(self.partitions, &body);
+            self.pool.run(self.partitions, &body);
         }
         for (pi, cell) in tasks.into_iter().enumerate() {
             self.part_routes[pi] = cell.into_inner().unwrap().route;
@@ -1464,95 +1471,23 @@ impl Simulator {
     }
 
     /// Transmit stage: visits only the switches with staged packets, in
-    /// ascending switch order so the event wheel receives arrivals in the
-    /// same order a sequential sweep would schedule them. With
-    /// `partitions > 1` the sweep runs in parallel with per-partition event
-    /// buffers merged in ascending partition order — byte-identical because
-    /// every packet transmitted this cycle arrives at the same future cycle.
+    /// ascending switch order. One body serves every partition count: each
+    /// partition walks its segment of the active list against its own
+    /// slices of the staging/link arrays on the [`WorkerPool`] (on the
+    /// caller alone when `P = 1`), buffering events privately; the buffers
+    /// are then appended to the event wheel in ascending partition order,
+    /// which — because every packet transmitted this cycle arrives at
+    /// `cycle + packet_length + link_latency` — reproduces the ascending
+    /// switch sweep's push order exactly.
     fn transmit(&mut self) {
         self.xmit_active.merge_added();
         self.obs.add(
             Counter::XmitSwitchVisits,
             self.xmit_active.list.len() as u64,
         );
-        if self.partitions > 1 {
-            if !self.xmit_active.list.is_empty() {
-                self.transmit_parallel();
-            }
+        if self.xmit_active.list.is_empty() {
             return;
         }
-        let mut active = std::mem::take(&mut self.xmit_active.list);
-        let mut keep = 0;
-        for k in 0..active.len() {
-            let switch = active[k];
-            self.transmit_switch(switch);
-            if self.staged_count[switch] > 0 {
-                active[keep] = switch;
-                keep += 1;
-            } else {
-                self.xmit_active.member[switch] = false;
-            }
-        }
-        active.truncate(keep);
-        self.xmit_active.list = active;
-    }
-
-    /// Puts the ready staged packets of one switch onto their links; the
-    /// sequential (`partitions == 1`) transmit body.
-    fn transmit_switch(&mut self, switch: usize) {
-        let packet_length = self.cfg.packet_length;
-        let link_latency = self.cfg.link_latency;
-        for port in 0..self.num_ports {
-            let flat = switch * self.num_ports + port;
-            if self.link_busy[flat] > self.cycle {
-                continue;
-            }
-            if self.stg_len[flat] == 0 {
-                continue;
-            }
-            let head = self.stg_head[flat] as usize;
-            let g = flat * self.cap_out + head;
-            if self.stg_ready[g] > self.cycle {
-                continue;
-            }
-            let next = head + 1;
-            self.stg_head[flat] = if next == self.cap_out { 0 } else { next as u16 };
-            self.stg_len[flat] -= 1;
-            self.staged_count[switch] -= 1;
-            self.link_busy[flat] = self.cycle + packet_length;
-            let packet = self.stg_pkt[g];
-            let arrive = self.cycle + packet_length + link_latency;
-            match self.out_kind[flat] {
-                OutputKind::Network {
-                    next_switch,
-                    next_input_port,
-                } => {
-                    let dslot = (next_switch * self.num_ports + next_input_port) * self.num_vcs
-                        + self.stg_vc[g] as usize;
-                    self.schedule(
-                        arrive,
-                        Ev::Arrival {
-                            slot: dslot as u32,
-                            packet,
-                        },
-                    );
-                }
-                OutputKind::Ejection { .. } => {
-                    self.schedule(arrive, Ev::Delivery { packet });
-                }
-                OutputKind::Dead => unreachable!("dead ports never receive grants"),
-            }
-            self.progress_this_cycle = true;
-        }
-    }
-
-    /// The parallel transmit sweep: each partition walks its segment of the
-    /// active list against its own slices of the staging/link arrays,
-    /// buffering events privately; buffers are then appended to the event
-    /// wheel in ascending partition order, which — because every packet
-    /// transmitted this cycle arrives at `cycle + packet_length +
-    /// link_latency` — reproduces the sequential push order exactly.
-    fn transmit_parallel(&mut self) {
         let mut active = std::mem::take(&mut self.xmit_active.list);
         let num_ports = self.num_ports;
         let mut cuts = std::mem::take(&mut self.step.seg);
@@ -1616,10 +1551,7 @@ impl Simulator {
                 let mut task = tasks[t].lock().unwrap();
                 run_xmit_task(&mut task, &shared);
             };
-            self.pool
-                .as_ref()
-                .expect("partitions > 1 without a pool")
-                .run(self.partitions, &body);
+            self.pool.run(self.partitions, &body);
         }
         // Merge in fixed partition order: events first (all share one wheel
         // slot), then the retained-switch segments back into one sorted list.
@@ -1634,9 +1566,8 @@ impl Simulator {
         let arrive = self.cycle + self.cfg.packet_length + self.cfg.link_latency;
         debug_assert!(arrive - self.cycle < self.wheel.len() as u64);
         let wheel_slot = self.wheel_slot(arrive);
-        for pi in 0..self.partitions {
-            let events = &mut self.part_events[pi];
-            self.wheel[wheel_slot].extend(events.drain(..));
+        for events in &mut self.part_events {
+            self.wheel[wheel_slot].append(events);
         }
         let mut w = 0;
         for pi in 0..self.partitions {
@@ -1654,7 +1585,7 @@ impl Simulator {
     }
 }
 
-/// The per-partition transmit body (see [`Simulator::transmit_parallel`]).
+/// The per-partition transmit body (see [`Simulator::transmit`]).
 /// All indices into `task` slices are offset by the partition's base; reads
 /// of the staging payload arrays use global flat indices.
 fn run_xmit_task(task: &mut XmitTask, shared: &XmitShared) {

@@ -495,18 +495,19 @@ impl SimulatorV4 {
     }
 
     /// Switches `step` to the legacy exhaustive-scan scheduler (the
-    /// pre-active-set engine, kept as a frozen baseline). Only for A/B
-    /// equivalence tests and `surepath bench`; call it before the first
-    /// `step`.
+    /// pre-active-set engine, kept as a frozen baseline). Only the
+    /// `scan_equivalence` tests call it — `surepath bench` times the
+    /// active-set path; call it before the first `step`.
     #[cfg(any(test, feature = "full-scan"))]
     pub fn set_full_scan(&mut self, enabled: bool) {
         self.full_scan = enabled;
     }
 
     /// One cycle of the frozen pre-refactor scheduler: exhaustive scans over
-    /// every switch and port, per-cycle `Vec` allocations included — this is
-    /// the baseline `surepath bench` measures the active-set engine against,
-    /// so it must stay faithful to the original, not get optimised.
+    /// every switch and port, per-cycle `Vec` allocations included — the
+    /// independent implementation the `scan_equivalence` tests prove the
+    /// active-set scheduler against, so it must stay faithful to the
+    /// original, not get optimised.
     #[cfg(any(test, feature = "full-scan"))]
     fn step_full_scan(&mut self) {
         self.progress_this_cycle = false;

@@ -134,9 +134,12 @@ impl WorkerPool {
     /// Runs `f(0), f(1), …, f(tasks - 1)` across the pool (caller included)
     /// and returns once all calls have finished. Tasks may run in any order
     /// and concurrently; `f` must partition its own state by task index.
+    /// A single task runs directly on the caller, without touching the lock.
     pub fn run(&self, tasks: usize, f: &(dyn Fn(usize) + Sync)) {
-        if tasks == 0 {
-            return;
+        match tasks {
+            0 => return,
+            1 => return f(0),
+            _ => {}
         }
         // SAFETY (lifetime erasure): `*const dyn …` spells an implicit
         // `'static` bound the closure does not have; the barrier below keeps
@@ -197,6 +200,19 @@ mod tests {
     fn zero_tasks_is_a_no_op() {
         let pool = WorkerPool::new(1);
         pool.run(0, &|_| panic!("no task should run"));
+    }
+
+    #[test]
+    fn single_task_runs_once_on_the_caller() {
+        let pool = WorkerPool::new(0);
+        let caller = std::thread::current().id();
+        let calls = AtomicUsize::new(0);
+        pool.run(1, &|t| {
+            assert_eq!(t, 0);
+            assert_eq!(std::thread::current().id(), caller);
+            calls.fetch_add(1, Ordering::SeqCst);
+        });
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
     }
 
     #[test]
