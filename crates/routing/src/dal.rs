@@ -57,19 +57,18 @@ impl RouteAlgorithm for DalRouting {
         }
         let hx = self.view.hyperx();
         let net = self.view.network();
-        let cur = hx.switch_coords(current);
-        let dst = hx.switch_coords(state.dest);
         for d in 0..hx.dims() {
-            if cur[d] == dst[d] {
+            let dst = hx.coord(state.dest, d);
+            if hx.coord(current, d) == dst {
                 continue;
             }
             let may_deroute = state.derouted_dims & (1 << d) == 0;
+            let minimal_port = hx.port_for(current, d, dst);
             for port in hx.dimension_ports(d) {
                 if net.neighbor(current, port).is_none() {
                     continue;
                 }
-                let meaning = hx.port_meaning(current, port);
-                if meaning.value == dst[d] {
+                if port == minimal_port {
                     out.push(RouteCandidate {
                         port,
                         penalty: OMNI_MINIMAL,
@@ -89,14 +88,11 @@ impl RouteAlgorithm for DalRouting {
     fn update(&self, state: &mut PacketState, current: usize, next: usize) {
         state.hops += 1;
         let hx = self.view.hyperx();
-        let cur = hx.switch_coords(current);
-        let nxt = hx.switch_coords(next);
-        let dst = hx.switch_coords(state.dest);
         // Exactly one coordinate changes per switch-to-switch hop.
         let changed = (0..hx.dims())
-            .find(|&d| cur[d] != nxt[d])
+            .find(|&d| hx.coord(current, d) != hx.coord(next, d))
             .expect("a hop always changes exactly one coordinate");
-        if nxt[changed] == dst[changed] {
+        if hx.coord(next, changed) == hx.coord(state.dest, changed) {
             state.minimal_hops += 1;
         } else {
             state.deroutes += 1;

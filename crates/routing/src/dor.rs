@@ -40,13 +40,12 @@ impl RouteAlgorithm for DimensionOrderedRouting {
             return;
         }
         let hx = self.view.hyperx();
-        let cur = hx.switch_coords(current);
-        let dst = hx.switch_coords(state.dest);
         // Correct the lowest unaligned dimension; the single valid port is the
         // aligned one, offered only if its link is alive.
         for d in 0..hx.dims() {
-            if cur[d] != dst[d] {
-                let port = hx.port_for(current, d, dst[d]);
+            let dst = hx.coord(state.dest, d);
+            if hx.coord(current, d) != dst {
+                let port = hx.port_for(current, d, dst);
                 if self.view.network().neighbor(current, port).is_some() {
                     out.push(RouteCandidate {
                         port,

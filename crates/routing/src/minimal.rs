@@ -33,9 +33,11 @@ impl MinimalRouting {
         penalty: u32,
         out: &mut Vec<RouteCandidate>,
     ) {
-        let here = view.distance(current, target);
+        // One row serves every neighbour: the distance matrix is symmetric.
+        let to_target = view.distances().row(target);
+        let here = to_target[current];
         for (port, nb) in view.network().neighbors(current) {
-            if view.distance(nb.switch, target) < here {
+            if to_target[nb.switch] < here {
                 out.push(RouteCandidate {
                     port,
                     penalty,

@@ -63,20 +63,18 @@ impl RouteAlgorithm for OmnidimensionalRouting {
         }
         let hx = self.view.hyperx();
         let net = self.view.network();
-        let cur = hx.switch_coords(current);
-        let dst = hx.switch_coords(state.dest);
         let deroutes_left = state.deroutes < self.deroute_limit;
         for d in 0..hx.dims() {
-            if cur[d] == dst[d] {
+            let dst = hx.coord(state.dest, d);
+            if hx.coord(current, d) == dst {
                 continue;
             }
+            let minimal_port = hx.port_for(current, d, dst);
             for port in hx.dimension_ports(d) {
                 if net.neighbor(current, port).is_none() {
                     continue;
                 }
-                let meaning = hx.port_meaning(current, port);
-                let minimal = meaning.value == dst[d];
-                if minimal {
+                if port == minimal_port {
                     out.push(RouteCandidate {
                         port,
                         penalty: OMNI_MINIMAL,

@@ -68,13 +68,18 @@ impl RouteAlgorithm for PolarizedRouting {
             return;
         }
         let net = self.view.network();
+        // The distance matrix is symmetric, so `d(c, s)` for every neighbour
+        // `c` comes from the source's row and `d(c, t)` from the
+        // destination's: two rows instead of one row per neighbour.
         let d = self.view.distances();
-        let ds_c = d.get(current, state.source) as i32;
-        let dt_c = d.get(current, state.dest) as i32;
+        let from_s = d.row(state.source);
+        let from_t = d.row(state.dest);
+        let ds_c = from_s[current] as i32;
+        let dt_c = from_t[current] as i32;
         let allow_zero_gain = state.hops < self.zero_gain_hop_limit;
         for (port, nb) in net.neighbors(current) {
-            let ds_n = d.get(nb.switch, state.source) as i32;
-            let dt_n = d.get(nb.switch, state.dest) as i32;
+            let ds_n = from_s[nb.switch] as i32;
+            let dt_n = from_t[nb.switch] as i32;
             let delta_s = ds_n - ds_c;
             let delta_t = dt_n - dt_c;
             let delta_mu = delta_s - delta_t;
@@ -112,12 +117,13 @@ impl RouteAlgorithm for PolarizedRouting {
     fn update(&self, state: &mut PacketState, current: usize, next: usize) {
         state.hops += 1;
         let d = self.view.distances();
-        if d.get(next, state.dest) < d.get(current, state.dest) {
+        let from_t = d.row(state.dest);
+        if from_t[next] < from_t[current] {
             state.minimal_hops += 1;
         } else {
             state.deroutes += 1;
         }
-        state.closer_to_source = d.get(next, state.source) < d.get(next, state.dest);
+        state.closer_to_source = d.row(state.source)[next] < from_t[next];
     }
 
     fn max_route_hops(&self) -> usize {

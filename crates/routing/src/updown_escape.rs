@@ -91,7 +91,9 @@ impl EscapeTables {
         self.view.escape_required().root()
     }
 
-    /// Appends the escape candidates for a packet at `current` heading to `dest`.
+    /// Appends the escape candidates for a packet at `current` heading to
+    /// `dest`. Allocation-free: the topology's candidate iterator feeds `out`
+    /// directly.
     pub fn candidates(&self, current: usize, dest: usize, out: &mut Vec<Candidate>) {
         let escape = self.view.escape_required();
         for c in escape.escape_candidates(self.view.network(), current, dest) {

@@ -12,9 +12,9 @@
 //!   lowest `Q + P` among the candidates that satisfy flow control (the exact
 //!   allocation rule of paper §3), and each output port grants up to
 //!   `crossbar_speedup` requests per cycle;
-//! * credits are modelled by reserving a downstream buffer slot at grant time
-//!   and releasing it when the packet arrives, which is what a credit-based
-//!   VCT implementation guarantees.
+//! * credits are modelled by taking a downstream buffer slot's credit at
+//!   grant time and returning it when the packet leaves that buffer, which
+//!   is what a credit-based VCT implementation guarantees.
 //!
 //! # Layout (v5)
 //!
@@ -22,12 +22,30 @@
 //! packets live in a [`PacketArena`] (parallel field arrays plus a free list,
 //! `u32` indices instead of owned values move through queues), input VC FIFOs
 //! and output staging buffers are flat ring buffers indexed by precomputed
-//! strides (`slot = (switch·num_ports + port)·num_vcs + vc`), per-port
-//! occupancy is a maintained counter instead of a per-request sum over VCs,
-//! and all per-step scratch lives in one reusable [`StepArena`]. The frozen
-//! v4 engine is kept in [`crate::engine_v4`] and the `layout_equivalence`
-//! tests prove the two byte-identical (RNG draw order, metrics bytes,
-//! counters, traces).
+//! strides (`slot = (switch·num_ports + port)·num_vcs + vc`), and all
+//! per-step scratch lives in one reusable [`StepArena`].
+//!
+//! The hot loop reads state local to the switch it steps:
+//!
+//! * **credits live at the sender**: each output VC counts its consumed
+//!   credits (`credits_used`, packets staged, on the link or buffered
+//!   downstream) and each output port their sum (`port_credits_used`), in
+//!   arrays indexed like the output ports. A grant takes a credit; the
+//!   downstream grant that pops the packet returns it to the output at the
+//!   far end of its input's (bidirectional) link, found in `out_kind`;
+//!   arrivals leave the counters alone. Server injection links keep their
+//!   own counter. Scoring and the VC choice therefore never touch the
+//!   neighbour switch's arrays;
+//! * **transmit wakes up on demand**: `next_xmit[switch]` is the earliest
+//!   cycle any staged head can leave (`max(link_busy, stg_ready)` minimised
+//!   over staged ports). A grant that gives an empty staging buffer a head
+//!   lowers it, and the transmit sweep recomputes it; switches whose
+//!   wake-up lies in the future are skipped without touching their ports.
+//!
+//! The frozen v4 engine is kept in [`crate::engine_v4`] and the
+//! `layout_equivalence` tests prove the two byte-identical (RNG draw order,
+//! metrics bytes, counters, traces); the `credit_audit` tests check the
+//! credit, wake-up and conservation invariants after every step.
 //!
 //! # Parallelism
 //!
@@ -260,6 +278,7 @@ struct XmitTask<'a> {
     stg_len: &'a mut [u16],
     link_busy: &'a mut [u64],
     staged_count: &'a mut [u32],
+    next_xmit: &'a mut [u64],
     events: Vec<Ev>,
     progress: bool,
 }
@@ -315,8 +334,6 @@ pub struct Simulator {
     in_q: Vec<u32>,
     in_head: Vec<u16>,
     in_len: Vec<u16>,
-    /// Granted-but-not-arrived reservations (consumed credits).
-    in_flight: Vec<u16>,
     /// Candidate-cache key: the head packet id the cache was computed for.
     cached_for: Vec<u64>,
     cand_cache: Vec<Vec<Candidate>>,
@@ -333,10 +350,20 @@ pub struct Simulator {
     stg_head: Vec<u16>,
     stg_len: Vec<u16>,
     link_busy: Vec<u64>,
-    /// Occupancy (buffered + in-flight over all VCs) of the *input* port at
-    /// this flat location — maintained incrementally so the allocation `Q`
-    /// term is O(1) instead of a sum over VCs.
-    port_occ: Vec<u32>,
+    // --- credit state, kept at the sender ---
+    /// Consumed credits of output VC `flat·num_vcs + vc`: packets granted
+    /// towards the downstream input VC and not yet popped there (staged
+    /// here, on the link, or buffered downstream). The grant that reserves
+    /// the downstream slot takes the credit; the downstream grant that pops
+    /// the packet returns it (see `return_credit`). Arrivals leave it
+    /// unchanged.
+    credits_used: Vec<u16>,
+    /// `credits_used` summed over the output port's VCs, so the allocation
+    /// `Q` term is O(1) instead of a sum over VCs.
+    port_credits_used: Vec<u32>,
+    /// Consumed credits of each server's injection link (input VC 0 of its
+    /// switch port): the injection counterpart of `credits_used`.
+    srv_credits_used: Vec<u16>,
     // --- server state ---
     /// Source-queue ring storage: `srv_q[server·cap_src ..][..cap_src]`.
     srv_q: Vec<u32>,
@@ -368,6 +395,11 @@ pub struct Simulator {
     /// Switches with at least one staged packet: the only switches the
     /// transmit stage needs to visit.
     xmit_active: ActiveSet,
+    /// Per switch, the earliest cycle any staged head can leave:
+    /// `max(link_busy, stg_ready)` of each staged port's head, minimised
+    /// over the switch's staged ports (`u64::MAX` with nothing staged).
+    /// Transmit sweeps a switch's ports only once this cycle is reached.
+    next_xmit: Vec<u64>,
     /// Buffered input packets per switch (all ports and VCs).
     input_occupancy: Vec<u32>,
     /// Staged output packets per switch (all ports).
@@ -490,7 +522,7 @@ impl Simulator {
             in_q: vec![0; nslots * cap_in],
             in_head: vec![0; nslots],
             in_len: vec![0; nslots],
-            in_flight: vec![0; nslots],
+            credits_used: vec![0; nslots],
             cached_for: vec![NO_PACKET; nslots],
             cand_cache: (0..nslots).map(|_| Vec::new()).collect(),
             cache_fresh: vec![0; nslots],
@@ -501,7 +533,7 @@ impl Simulator {
             stg_head: vec![0; nports],
             stg_len: vec![0; nports],
             link_busy: vec![0; nports],
-            port_occ: vec![0; nports],
+            port_credits_used: vec![0; nports],
             srv_q: vec![0; num_servers * cap_src],
             srv_head: vec![0; num_servers],
             srv_len: vec![0; num_servers],
@@ -536,6 +568,11 @@ impl Simulator {
             part_bounds,
             part_events: (0..partitions).map(|_| Vec::new()).collect(),
             part_routes: (0..partitions).map(|_| RouteScratch::default()).collect(),
+            // Allocated last: placed between the large arrays, these two
+            // small ones shifted the allocator's heap layout and raised the
+            // peak RSS of a 16×16×16 run by up to 10 MB.
+            srv_credits_used: vec![0; num_servers],
+            next_xmit: vec![u64::MAX; num_switches],
         }
     }
 
@@ -783,11 +820,32 @@ impl Simulator {
         packet
     }
 
-    /// Free slots of input ring `slot` under the credit protocol.
+    /// Free downstream slots behind output VC `credit` (an index into
+    /// `credits_used`) under the credit protocol.
     #[inline]
-    fn in_free(&self, slot: usize) -> usize {
+    fn credits_free(&self, credit: usize) -> usize {
         self.cap_in
-            .saturating_sub(self.in_len[slot] as usize + self.in_flight[slot] as usize)
+            .saturating_sub(self.credits_used[credit] as usize)
+    }
+
+    /// Returns the credit of a packet popped from input `(switch, in_port,
+    /// in_vc)` to whoever feeds that input. Links are bidirectional, so the
+    /// port's own output kind names the feeder: the output VC at the far
+    /// end of a network link, or the server behind an injection port.
+    #[inline]
+    fn return_credit(&mut self, switch: usize, in_port: usize, in_vc: usize) {
+        match self.out_kind[switch * self.num_ports + in_port] {
+            OutputKind::Network {
+                next_switch,
+                next_input_port,
+            } => {
+                let feed = next_switch * self.num_ports + next_input_port;
+                self.credits_used[feed * self.num_vcs + in_vc] -= 1;
+                self.port_credits_used[feed] -= 1;
+            }
+            OutputKind::Ejection { server } => self.srv_credits_used[server] -= 1,
+            OutputKind::Dead => unreachable!("dead ports never receive packets"),
+        }
     }
 
     fn wheel_slot(&self, cycle: u64) -> usize {
@@ -828,10 +886,9 @@ impl Simulator {
                             escape_hops: self.pkt.escape_hops[p] as u64,
                         });
                     }
-                    debug_assert!(self.in_flight[slot] > 0, "arrival without a reservation");
-                    self.in_flight[slot] -= 1;
-                    // `port_occ` counts buffered + in-flight, so an arrival
-                    // (in-flight → buffered) leaves it unchanged.
+                    // Credits count in-flight and buffered packets alike,
+                    // so an arrival (in-flight → buffered) leaves them
+                    // unchanged.
                     self.in_push(slot, packet);
                     self.input_occupancy[switch] += 1;
                     self.alloc_active.insert(switch);
@@ -1071,19 +1128,18 @@ impl Simulator {
         if self.srv_busy[server] > self.cycle || self.srv_len[server] == 0 {
             return;
         }
+        if self.srv_credits_used[server] as usize >= self.cap_in {
+            return;
+        }
         let sw = self.layout.server_switch(server);
         let in_port = self.radix + self.layout.server_offset(server);
         let slot = self.slot(sw, in_port, 0);
-        if self.in_free(slot) == 0 {
-            return;
-        }
         let packet = self.srv_q[server * self.cap_src + self.srv_head[server] as usize];
         let next = self.srv_head[server] as usize + 1;
         self.srv_head[server] = if next == self.cap_src { 0 } else { next as u16 };
         self.srv_len[server] -= 1;
         self.pkt.injected_at[packet as usize] = self.cycle;
-        self.in_flight[slot] += 1;
-        self.port_occ[sw * self.num_ports + in_port] += 1;
+        self.srv_credits_used[server] += 1;
         self.srv_busy[server] = self.cycle + packet_length;
         let arrive = self.cycle + packet_length + self.cfg.link_latency;
         self.schedule(
@@ -1098,21 +1154,18 @@ impl Simulator {
 
     /// The `Q` term of the paper's allocation rule, in packets: output staging
     /// occupancy plus the consumed credits of every VC of the requested port,
-    /// counting the requested VC twice. The all-VC sum is the maintained
-    /// `port_occ` counter — O(1) instead of a per-request VC loop.
+    /// counting the requested VC twice. Credits are kept at the sender, so
+    /// every read is of the current switch's own per-port arrays, and the
+    /// all-VC sum is the maintained `port_credits_used` counter — O(1)
+    /// instead of a per-request VC loop.
     fn request_q(&self, switch: usize, out_port: usize, out_vc: usize) -> u64 {
         let flat = switch * self.num_ports + out_port;
         let staging = self.stg_len[flat] as u64;
         match self.out_kind[flat] {
-            OutputKind::Network {
-                next_switch,
-                next_input_port,
-            } => {
-                let dflat = next_switch * self.num_ports + next_input_port;
-                let dslot = dflat * self.num_vcs + out_vc;
+            OutputKind::Network { .. } => {
                 staging
-                    + self.port_occ[dflat] as u64
-                    + (self.in_len[dslot] + self.in_flight[dslot]) as u64
+                    + self.port_credits_used[flat] as u64
+                    + self.credits_used[flat * self.num_vcs + out_vc] as u64
             }
             OutputKind::Ejection { .. } => staging * 2,
             OutputKind::Dead => u64::MAX / 2,
@@ -1183,24 +1236,21 @@ impl Simulator {
                 for ci in 0..self.cand_cache[slot].len() {
                     let cand = self.cand_cache[slot][ci];
                     let flat = switch * self.num_ports + cand.port;
-                    let OutputKind::Network {
-                        next_switch,
-                        next_input_port,
-                    } = self.out_kind[flat]
-                    else {
+                    let OutputKind::Network { .. } = self.out_kind[flat] else {
                         continue;
                     };
                     if (self.stg_len[flat] as usize) >= self.cap_out {
                         continue;
                     }
-                    // Pick the VC of the allowed range with the most free space.
-                    let dbase = (next_switch * self.num_ports + next_input_port) * self.num_vcs;
+                    // Pick the VC of the allowed range with the most free
+                    // downstream space (the output's own credit counters).
+                    let cbase = flat * self.num_vcs;
                     let mut chosen: Option<(usize, usize)> = None; // (free, vc)
                     for vc in cand.vcs.iter() {
                         if vc >= self.num_vcs {
                             continue;
                         }
-                        let free = self.in_free(dbase + vc);
+                        let free = self.credits_free(cbase + vc);
                         if free > 0 && chosen.is_none_or(|(best_free, _)| free > best_free) {
                             chosen = Some((free, vc));
                         }
@@ -1275,28 +1325,24 @@ impl Simulator {
                 self.trace_block(switch, &req);
                 continue;
             }
-            // Re-check (and reserve) the downstream slot for network hops.
-            if let OutputKind::Network {
-                next_switch,
-                next_input_port,
-            } = self.out_kind[flat_out]
-            {
-                let dflat = next_switch * self.num_ports + next_input_port;
-                let dslot = dflat * self.num_vcs + req.out_vc;
-                if self.in_free(dslot) == 0 {
+            // Re-check (and take) the downstream credit for network hops.
+            if let OutputKind::Network { .. } = self.out_kind[flat_out] {
+                let credit = flat_out * self.num_vcs + req.out_vc;
+                if self.credits_free(credit) == 0 {
                     self.obs.incr(Counter::AllocConflicts);
                     self.trace_block(switch, &req);
                     continue;
                 }
-                self.in_flight[dslot] += 1;
-                self.port_occ[dflat] += 1;
+                self.credits_used[credit] += 1;
+                self.port_credits_used[flat_out] += 1;
             }
-            // Commit: move the packet from the input VC to the output staging buffer.
+            // Commit: move the packet from the input VC to the output staging
+            // buffer, returning the input's credit to whoever feeds it.
             let slot = self.slot(switch, req.in_port, req.in_vc);
             let packet = self.in_pop(slot);
             self.cached_for[slot] = NO_PACKET;
             self.input_occupancy[switch] -= 1;
-            self.port_occ[switch * self.num_ports + req.in_port] -= 1;
+            self.return_credit(switch, req.in_port, req.in_vc);
             if let Some(cand) = &req.candidate {
                 if let OutputKind::Network { next_switch, .. } = self.out_kind[flat_out] {
                     let mut state = self.pkt.state[packet];
@@ -1325,9 +1371,15 @@ impl Simulator {
                 pos -= self.cap_out;
             }
             let g = flat_out * self.cap_out + pos;
+            let ready = self.cycle + crossbar_time;
             self.stg_pkt[g] = packet as u32;
             self.stg_vc[g] = req.out_vc as u16;
-            self.stg_ready[g] = self.cycle + crossbar_time;
+            self.stg_ready[g] = ready;
+            if self.stg_len[flat_out] == 0 {
+                // A new head: the switch may wake earlier than it planned.
+                let wake = self.link_busy[flat_out].max(ready);
+                self.next_xmit[switch] = self.next_xmit[switch].min(wake);
+            }
             self.stg_len[flat_out] += 1;
             self.staged_count[switch] += 1;
             self.xmit_active.insert(switch);
@@ -1471,7 +1523,8 @@ impl Simulator {
     }
 
     /// Transmit stage: visits only the switches with staged packets, in
-    /// ascending switch order. One body serves every partition count: each
+    /// ascending switch order, and sweeps the ports of only those whose
+    /// `next_xmit` has come. One body serves every partition count: each
     /// partition walks its segment of the active list against its own
     /// slices of the staging/link arrays on the [`WorkerPool`] (on the
     /// caller alone when `P = 1`), buffering events privately; the buffers
@@ -1503,6 +1556,7 @@ impl Simulator {
             let mut len_rest: &mut [u16] = &mut self.stg_len;
             let mut busy_rest: &mut [u64] = &mut self.link_busy;
             let mut count_rest: &mut [u32] = &mut self.staged_count;
+            let mut wake_rest: &mut [u64] = &mut self.next_xmit;
             let mut seg_from = 0;
             let mut sw_base = 0;
             for (pi, events) in self.part_events.iter_mut().enumerate() {
@@ -1521,6 +1575,8 @@ impl Simulator {
                 busy_rest = rest;
                 let (staged_count, rest) = count_rest.split_at_mut(n_sw);
                 count_rest = rest;
+                let (next_xmit, rest) = wake_rest.split_at_mut(n_sw);
+                wake_rest = rest;
                 tasks.push(Mutex::new(XmitTask {
                     sw_base,
                     port_base: sw_base * num_ports,
@@ -1531,6 +1587,7 @@ impl Simulator {
                     stg_len,
                     link_busy,
                     staged_count,
+                    next_xmit,
                     events: std::mem::take(events),
                     progress: false,
                 }));
@@ -1587,60 +1644,75 @@ impl Simulator {
 
 /// The per-partition transmit body (see [`Simulator::transmit`]).
 /// All indices into `task` slices are offset by the partition's base; reads
-/// of the staging payload arrays use global flat indices.
+/// of the staging payload arrays use global flat indices. A switch whose
+/// `next_xmit` lies in the future has no head ready to leave, so its ports
+/// are not swept; it stays active because it still holds staged packets.
 fn run_xmit_task(task: &mut XmitTask, shared: &XmitShared) {
     let mut kept = 0;
     for k in 0..task.seg.len() {
         let switch = task.seg[k];
-        for port in 0..shared.num_ports {
-            let flat = switch * shared.num_ports + port;
-            let lf = flat - task.port_base;
-            if task.link_busy[lf] > shared.cycle {
-                continue;
-            }
-            if task.stg_len[lf] == 0 {
-                continue;
-            }
-            let head = task.stg_head[lf] as usize;
-            let g = flat * shared.cap_out + head;
-            if shared.stg_ready[g] > shared.cycle {
-                continue;
-            }
-            let next = head + 1;
-            task.stg_head[lf] = if next == shared.cap_out {
-                0
-            } else {
-                next as u16
-            };
-            task.stg_len[lf] -= 1;
-            task.staged_count[switch - task.sw_base] -= 1;
-            task.link_busy[lf] = shared.cycle + shared.packet_length;
-            let packet = shared.stg_pkt[g];
-            match shared.out_kind[flat] {
-                OutputKind::Network {
-                    next_switch,
-                    next_input_port,
-                } => {
-                    let dslot = (next_switch * shared.num_ports + next_input_port) * shared.num_vcs
-                        + shared.stg_vc[g] as usize;
-                    task.events.push(Ev::Arrival {
-                        slot: dslot as u32,
-                        packet,
-                    });
-                }
-                OutputKind::Ejection { .. } => task.events.push(Ev::Delivery { packet }),
-                OutputKind::Dead => unreachable!("dead ports never receive grants"),
-            }
-            task.progress = true;
+        let ls = switch - task.sw_base;
+        if task.next_xmit[ls] <= shared.cycle {
+            task.next_xmit[ls] = sweep_switch(task, shared, switch);
         }
-        if task.staged_count[switch - task.sw_base] > 0 {
+        if task.staged_count[ls] > 0 {
             task.seg[kept] = switch;
             kept += 1;
         } else {
-            task.member[switch - task.sw_base] = false;
+            task.member[ls] = false;
         }
     }
     task.kept = kept;
+}
+
+/// Transmits every staged head of `switch` whose link is free and whose
+/// crossbar traversal has finished, and returns the switch's next wake-up
+/// cycle: the earliest `max(link_busy, stg_ready)` over the heads left
+/// staged (`u64::MAX` when none is).
+fn sweep_switch(task: &mut XmitTask, shared: &XmitShared, switch: usize) -> u64 {
+    let mut wake = u64::MAX;
+    for port in 0..shared.num_ports {
+        let flat = switch * shared.num_ports + port;
+        let lf = flat - task.port_base;
+        if task.stg_len[lf] == 0 {
+            continue;
+        }
+        let head = task.stg_head[lf] as usize;
+        let g = flat * shared.cap_out + head;
+        let leaves = task.link_busy[lf].max(shared.stg_ready[g]);
+        if leaves > shared.cycle {
+            wake = wake.min(leaves);
+            continue;
+        }
+        let next = head + 1;
+        let next = if next == shared.cap_out { 0 } else { next };
+        task.stg_head[lf] = next as u16;
+        task.stg_len[lf] -= 1;
+        task.staged_count[switch - task.sw_base] -= 1;
+        task.link_busy[lf] = shared.cycle + shared.packet_length;
+        if task.stg_len[lf] > 0 {
+            let ready = shared.stg_ready[flat * shared.cap_out + next];
+            wake = wake.min(task.link_busy[lf].max(ready));
+        }
+        let packet = shared.stg_pkt[g];
+        match shared.out_kind[flat] {
+            OutputKind::Network {
+                next_switch,
+                next_input_port,
+            } => {
+                let dslot = (next_switch * shared.num_ports + next_input_port) * shared.num_vcs
+                    + shared.stg_vc[g] as usize;
+                task.events.push(Ev::Arrival {
+                    slot: dslot as u32,
+                    packet,
+                });
+            }
+            OutputKind::Ejection { .. } => task.events.push(Ev::Delivery { packet }),
+            OutputKind::Dead => unreachable!("dead ports never receive grants"),
+        }
+        task.progress = true;
+    }
+    wake
 }
 
 /// The per-partition candidate-prefill body (see

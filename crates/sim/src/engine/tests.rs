@@ -714,3 +714,177 @@ mod contract_equivalence {
         );
     }
 }
+
+/// The engine's self-audit of its sender-side credits, transmit wake-ups
+/// and packet conservation, run after every step.
+mod credit_audit {
+    use super::*;
+
+    impl Simulator {
+        /// Panics unless, at the end of a step:
+        /// * each output VC's `credits_used` equals its packets still in
+        ///   the output's staging buffer, plus their `Arrival` events on
+        ///   the wheel, plus the downstream input VC's buffered packets
+        ///   (zero on ejection and dead outputs); each server's
+        ///   `srv_credits_used` counts the same for its injection VC (its
+        ///   arrivals plus buffered packets); each `port_credits_used` is
+        ///   the sum over the port's VCs;
+        /// * each switch's `next_xmit` equals the earliest cycle any of its
+        ///   staged heads can leave (so it is never later than the switch's
+        ///   next transmission), and no head that could have left this
+        ///   cycle is still staged;
+        /// * generated = delivered + alive, and every alive packet sits in
+        ///   exactly one source queue, input VC, staging buffer or event.
+        fn audit(&self) {
+            let (np, nv) = (self.num_ports, self.num_vcs);
+            let at = format!("after cycle {}", self.cycle.wrapping_sub(1));
+            let mut arriving = vec![0usize; self.in_len.len()];
+            let mut on_wheel = 0u64;
+            for event in self.wheel.iter().flatten() {
+                on_wheel += 1;
+                if let Ev::Arrival { slot, .. } = *event {
+                    arriving[slot as usize] += 1;
+                }
+            }
+            for (flat, kind) in self.out_kind.iter().enumerate() {
+                let mut staged = vec![0usize; nv];
+                for i in 0..self.stg_len[flat] as usize {
+                    let pos = (self.stg_head[flat] as usize + i) % self.cap_out;
+                    staged[self.stg_vc[flat * self.cap_out + pos] as usize] += 1;
+                }
+                let mut port_sum = 0u32;
+                for (vc, &staged) in staged.iter().enumerate() {
+                    let used = self.credits_used[flat * nv + vc];
+                    let expected = match *kind {
+                        OutputKind::Network {
+                            next_switch,
+                            next_input_port,
+                        } => {
+                            let dslot = (next_switch * np + next_input_port) * nv + vc;
+                            staged + arriving[dslot] + self.in_len[dslot] as usize
+                        }
+                        OutputKind::Ejection { .. } | OutputKind::Dead => 0,
+                    };
+                    assert_eq!(used as usize, expected, "{at}: output {flat} vc {vc}");
+                    port_sum += used as u32;
+                }
+                assert_eq!(self.port_credits_used[flat], port_sum, "{at}: port {flat}");
+            }
+            for server in 0..self.layout.num_servers() {
+                let in_port = self.radix + self.layout.server_offset(server);
+                let slot = self.slot(self.layout.server_switch(server), in_port, 0);
+                assert_eq!(
+                    self.srv_credits_used[server] as usize,
+                    self.in_len[slot] as usize + arriving[slot],
+                    "{at}: server {server}"
+                );
+            }
+            for switch in 0..self.next_xmit.len() {
+                let mut earliest = u64::MAX;
+                for flat in switch * np..(switch + 1) * np {
+                    if self.stg_len[flat] > 0 {
+                        let g = flat * self.cap_out + self.stg_head[flat] as usize;
+                        earliest = earliest.min(self.link_busy[flat].max(self.stg_ready[g]));
+                    }
+                }
+                assert_eq!(self.next_xmit[switch], earliest, "{at}: switch {switch}");
+                assert!(
+                    earliest >= self.cycle,
+                    "{at}: switch {switch} kept a head that could leave at {earliest}"
+                );
+            }
+            assert_eq!(
+                self.total_generated,
+                self.total_delivered + self.packets_alive,
+                "{at}"
+            );
+            let queued: u64 = self.srv_len.iter().map(|&l| l as u64).sum();
+            let held = self.packets_in_switches() as u64;
+            assert_eq!(self.packets_alive, queued + held + on_wheel, "{at}");
+        }
+    }
+
+    const SPECS: [MechanismSpec; 10] = [
+        MechanismSpec::Minimal,
+        MechanismSpec::Valiant,
+        MechanismSpec::OmniWAR,
+        MechanismSpec::Polarized,
+        MechanismSpec::OmniSP,
+        MechanismSpec::PolSP,
+        MechanismSpec::Dor,
+        MechanismSpec::Dal,
+        MechanismSpec::OmniSPTree,
+        MechanismSpec::PolSPTree,
+    ];
+
+    /// A 4×4×4 with 150 of its 288 links failed (still connected), escape
+    /// root 0, four servers per switch: congested enough at full load that
+    /// credits run out.
+    fn build(spec: MechanismSpec, partitions: usize) -> Simulator {
+        let hx = HyperX::regular(3, 4);
+        let mut fault_rng = ChaCha8Rng::seed_from_u64(5);
+        let faults =
+            hyperx_topology::FaultSet::random_connected_sequence(hx.network(), 150, &mut fault_rng);
+        let view = Arc::new(NetworkView::with_faults(hx, &faults, 0));
+        let mut cfg = SimConfig::quick(4, spec.faulty_num_vcs(3));
+        cfg.rng_contract = RngContract::V1PerServer;
+        cfg.partitions = partitions;
+        let mech = spec.build(view.clone(), cfg.num_vcs);
+        let layout = ServerLayout::new(view.hyperx(), cfg.servers_per_switch);
+        let pattern = Box::new(UniformTraffic::new(&layout));
+        Simulator::new(view, mech, pattern, cfg)
+    }
+
+    /// Steps `sim` up to `cycles` times, auditing after every step.
+    /// Returns whether some output VC ever ran out of credits.
+    fn audited_steps(sim: &mut Simulator, cycles: u64) -> bool {
+        let mut exhausted = false;
+        sim.audit();
+        for _ in 0..cycles {
+            sim.step();
+            sim.audit();
+            exhausted |= sim.credits_used.iter().any(|&c| c as usize == sim.cap_in);
+            if sim.stalled() {
+                break;
+            }
+        }
+        exhausted
+    }
+
+    #[test]
+    fn credits_wakeups_and_conservation_hold_every_cycle_in_rate_mode() {
+        let mut exhausted = Vec::new();
+        for spec in SPECS {
+            for partitions in [1, 2] {
+                let mut sim = build(spec, partitions);
+                // Full load, so credits run out and heads wait.
+                sim.generation = GenerationMode::Rate { offered_load: 1.0 };
+                if audited_steps(&mut sim, 300) {
+                    exhausted.push((spec, partitions));
+                }
+                assert!(sim.total_delivered() > 0, "{spec} P={partitions}");
+            }
+        }
+        // The blocked-credit paths must be covered, not just the free ones.
+        assert!(
+            exhausted.len() >= SPECS.len(),
+            "too few runs exhausted a VC's credits: {exhausted:?}"
+        );
+    }
+
+    #[test]
+    fn credits_wakeups_and_conservation_hold_every_cycle_in_batch_mode() {
+        for spec in SPECS {
+            for partitions in [1, 2] {
+                let mut sim = build(spec, partitions);
+                sim.generation = GenerationMode::Batch {
+                    packets_per_server: 6,
+                };
+                sim.srv_quota.iter_mut().for_each(|q| *q = 6);
+                sim.server_live_dirty = true;
+                audited_steps(&mut sim, 600);
+                assert!(sim.total_delivered() > 0, "{spec} P={partitions}");
+            }
+        }
+    }
+}

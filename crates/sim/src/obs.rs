@@ -40,7 +40,9 @@ pub enum Counter {
     EscapeGrants = 5,
     /// Switches visited by the allocation stage (active-set size per cycle).
     AllocSwitchVisits = 6,
-    /// Switches visited by the transmit stage (active-set size per cycle).
+    /// Switches holding staged packets at the transmit stage (the transmit
+    /// active-set size per cycle). Counts every such switch, including the
+    /// ones whose ports are not swept because no head is ready to leave.
     XmitSwitchVisits = 7,
     /// Binomial draws of the rate contract v2 counting sampler.
     BinomialDraws = 8,

@@ -70,6 +70,14 @@ impl CoordinateSystem {
         out
     }
 
+    /// Coordinate of switch `id` in dimension `d`, without materialising
+    /// the whole vector (allocation-free, unlike [`to_coords`](Self::to_coords)).
+    #[inline]
+    pub fn coord(&self, id: usize, d: usize) -> usize {
+        let stride: usize = self.sides[..d].iter().product();
+        (id / stride) % self.sides[d]
+    }
+
     /// Converts a coordinate vector into its flat switch index.
     ///
     /// # Panics
@@ -89,10 +97,14 @@ impl CoordinateSystem {
 
     /// Number of coordinates in which `a` and `b` differ. In a healthy HyperX
     /// this equals the graph distance between the two switches.
-    pub fn hamming_distance(&self, a: usize, b: usize) -> usize {
-        let ca = self.to_coords(a);
-        let cb = self.to_coords(b);
-        ca.iter().zip(&cb).filter(|(x, y)| x != y).count()
+    pub fn hamming_distance(&self, mut a: usize, mut b: usize) -> usize {
+        let mut differ = 0;
+        for &k in &self.sides {
+            differ += usize::from(a % k != b % k);
+            a /= k;
+            b /= k;
+        }
+        differ
     }
 
     /// Returns the switch obtained from `id` by setting dimension `d` to `value`.
@@ -126,6 +138,22 @@ mod tests {
         for id in cs.iter_ids() {
             let c = cs.to_coords(id);
             assert_eq!(cs.to_id(&c), id);
+        }
+    }
+
+    #[test]
+    fn single_coordinates_and_hamming_match_the_vector_form() {
+        let cs = CoordinateSystem::new(&[2, 3, 5]);
+        for a in cs.iter_ids() {
+            let ca = cs.to_coords(a);
+            for (d, &c) in ca.iter().enumerate() {
+                assert_eq!(cs.coord(a, d), c);
+            }
+            for b in cs.iter_ids() {
+                let cb = cs.to_coords(b);
+                let differ = ca.iter().zip(&cb).filter(|(x, y)| x != y).count();
+                assert_eq!(cs.hamming_distance(a, b), differ);
+            }
         }
     }
 

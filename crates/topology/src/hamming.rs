@@ -139,6 +139,12 @@ impl HyperX {
         self.coords.to_coords(s)
     }
 
+    /// Coordinate of switch `s` in dimension `d` (allocation-free).
+    #[inline]
+    pub fn coord(&self, s: SwitchId, d: usize) -> usize {
+        self.coords.coord(s, d)
+    }
+
     /// Switch id of the given coordinates.
     pub fn switch_id(&self, c: &[usize]) -> SwitchId {
         self.coords.to_id(c)
@@ -150,7 +156,7 @@ impl HyperX {
     /// # Panics
     /// Panics if `value` equals the switch's own coordinate in `dim`.
     pub fn port_for(&self, s: SwitchId, dim: usize, value: usize) -> PortId {
-        let own = self.coords.to_coords(s)[dim];
+        let own = self.coords.coord(s, dim);
         assert!(
             own != value,
             "switch {s} already has coordinate {value} in dimension {dim}"
@@ -165,7 +171,7 @@ impl HyperX {
             Ok(d) => d - 1,
             Err(d) => d - 1,
         };
-        let own = self.coords.to_coords(s)[dim];
+        let own = self.coords.coord(s, dim);
         let off = p - self.offsets[dim];
         let value = if off < own { off } else { off + 1 };
         PortMeaning { dim, value }

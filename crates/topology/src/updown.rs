@@ -169,33 +169,36 @@ impl UpDownEscape {
         self.updown[a * self.n + b]
     }
 
+    /// The row of Up/Down distances from `a` to every switch. The matrix is
+    /// symmetric, so this is also the column of distances *to* `a`.
+    #[inline]
+    pub fn updown_row(&self, a: SwitchId) -> &[u16] {
+        &self.updown[a * self.n..(a + 1) * self.n]
+    }
+
     /// The escape candidates offered at `current` for a packet heading to `dest`:
     /// every live port whose far endpoint strictly reduces the Up/Down distance.
     ///
-    /// Returns an empty vector only when `current == dest`.
-    pub fn escape_candidates(
-        &self,
-        net: &Network,
+    /// Yields nothing only when `current == dest`. Allocation-free: every
+    /// distance comes from `dest`'s row (the matrix is symmetric), so the
+    /// reads stay within one row instead of one row per neighbour.
+    pub fn escape_candidates<'a>(
+        &'a self,
+        net: &'a Network,
         current: SwitchId,
         dest: SwitchId,
-    ) -> Vec<EscapeCandidate> {
-        if current == dest {
-            return Vec::new();
-        }
-        let here = self.updown_distance(current, dest);
-        let mut out = Vec::new();
-        for (p, nb) in net.neighbors(current) {
-            let there = self.updown_distance(nb.switch, dest);
-            if there < here {
-                out.push(EscapeCandidate {
-                    port: p,
-                    neighbor: nb.switch,
-                    class: self.classes[current][p].expect("live port has a class"),
-                    reduction: here - there,
-                });
-            }
-        }
-        out
+    ) -> impl Iterator<Item = EscapeCandidate> + 'a {
+        let to_dest = self.updown_row(dest);
+        let here = to_dest[current];
+        net.neighbors(current).filter_map(move |(p, nb)| {
+            let there = to_dest[nb.switch];
+            (there < here).then(|| EscapeCandidate {
+                port: p,
+                neighbor: nb.switch,
+                class: self.classes[current][p].expect("live port has a class"),
+                reduction: here - there,
+            })
+        })
     }
 
     /// Number of links per class, useful for diagnostics and the
@@ -267,7 +270,7 @@ mod tests {
         let s01 = hx.switch_id(&[0, 1]);
         let s03 = hx.switch_id(&[0, 3]);
         assert_eq!(esc.updown_distance(s01, s03), 2);
-        let cands = esc.escape_candidates(hx.network(), s01, s03);
+        let cands: Vec<_> = esc.escape_candidates(hx.network(), s01, s03).collect();
         let direct_port = hx.network().port_towards(s01, s03).unwrap();
         let direct = cands.iter().find(|c| c.port == direct_port).unwrap();
         assert_eq!(direct.class, LinkClass::Horizontal);
@@ -313,7 +316,7 @@ mod tests {
         let esc = UpDownEscape::new(hx.network(), 5);
         for cur in 0..hx.num_switches() {
             for dest in 0..hx.num_switches() {
-                let cands = esc.escape_candidates(hx.network(), cur, dest);
+                let cands: Vec<_> = esc.escape_candidates(hx.network(), cur, dest).collect();
                 if cur == dest {
                     assert!(cands.is_empty());
                 } else {
@@ -348,7 +351,7 @@ mod tests {
         for cur in 0..hx.num_switches() {
             for dest in 0..hx.num_switches() {
                 if cur != dest {
-                    assert!(!esc.escape_candidates(&net, cur, dest).is_empty());
+                    assert!(esc.escape_candidates(&net, cur, dest).next().is_some());
                 }
             }
         }
@@ -374,9 +377,8 @@ mod tests {
         // (0,1) -> (0,3): the direct link is horizontal and reduces by 2.
         let a = hx.switch_id(&[0, 1]);
         let b = hx.switch_id(&[0, 3]);
-        let cands = esc.escape_candidates(hx.network(), a, b);
-        let direct = cands
-            .iter()
+        let direct = esc
+            .escape_candidates(hx.network(), a, b)
             .find(|c| c.neighbor == b)
             .expect("direct neighbor must be a candidate");
         assert_eq!(direct.class, LinkClass::Horizontal);

@@ -228,6 +228,41 @@ proptest! {
     }
 
     #[test]
+    fn distance_matrices_are_symmetric_under_faults(
+        sides in batch_sides_strategy(),
+        fault_frac in 0.0f64..1.0,
+        seed in 0u64..1000,
+        root_seed in 0u64..1000,
+    ) {
+        // Routing reads `row(t)[nb]` for the distance from `nb` to `t`, so
+        // both all-pairs matrices must be symmetric. Connected faults up to
+        // a spanning tree for both matrices, plus unrestricted faults (most
+        // past a third disconnect) for the BFS matrix alone.
+        let hx = HyperX::new(&sides);
+        let connected = with_random_faults(&hx, fault_frac, seed, true);
+        let any = with_random_faults(&hx, fault_frac, seed, false);
+        let n = hx.num_switches();
+        let root = (root_seed as usize) % n;
+        let esc = UpDownEscape::new(&connected, root);
+        for net in [&connected, &any] {
+            let dm = DistanceMatrix::compute(net);
+            for a in 0..n {
+                for b in 0..n {
+                    prop_assert_eq!(dm.get(a, b), dm.get(b, a), "d({}, {})", a, b);
+                    prop_assert_eq!(dm.row(a)[b], dm.get(b, a));
+                }
+            }
+        }
+        for a in 0..n {
+            for b in 0..n {
+                let ud = esc.updown_distance(a, b);
+                prop_assert_eq!(ud, esc.updown_distance(b, a), "ud({}, {})", a, b);
+                prop_assert_eq!(esc.updown_row(a)[b], esc.updown_distance(b, a));
+            }
+        }
+    }
+
+    #[test]
     fn updown_distance_bounds_and_symmetry(sides in sides_strategy(), root_seed in 0u64..1000) {
         let hx = HyperX::new(&sides);
         let root = (root_seed as usize) % hx.num_switches();
@@ -260,7 +295,7 @@ proptest! {
         let esc = UpDownEscape::new(&net, 0);
         for cur in 0..hx.num_switches() {
             for dest in 0..hx.num_switches() {
-                let cands = esc.escape_candidates(&net, cur, dest);
+                let cands: Vec<_> = esc.escape_candidates(&net, cur, dest).collect();
                 if cur == dest {
                     prop_assert!(cands.is_empty());
                 } else {
